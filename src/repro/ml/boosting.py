@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import check_consistent_length, check_positive_int
+from .._validation import check_positive_int
 from ..core.base import BaseRegressor, check_is_fitted
 from ..exceptions import InvalidParameterError
-from .tree import DecisionTreeRegressor
+from .tree import DecisionTreeRegressor, _check_predict_data, _check_training_data, _descend
 
 __all__ = ["GradientBoostingRegressor"]
 
@@ -64,11 +64,7 @@ class GradientBoostingRegressor(BaseRegressor):
             raise InvalidParameterError("subsample must be in (0, 1].")
         check_positive_int(self.n_estimators, "n_estimators")
 
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
-        check_consistent_length(X, y)
+        X, y = _check_training_data(X, y)
 
         rng = np.random.default_rng(self.random_state)
         n_samples = len(y)
@@ -130,22 +126,14 @@ class GradientBoostingRegressor(BaseRegressor):
         return self
 
     def predict(self, X) -> np.ndarray:
-        check_is_fitted(self, ("estimators_",))
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
-        predictions = np.full(len(X), self.init_prediction_)
-        for tree in self.estimators_:
-            predictions += self.learning_rate * tree.predict(X)
+        *_, predictions = self.staged_predict(X)
         return predictions
 
     def staged_predict(self, X):
         """Yield predictions after each boosting stage (used in tests)."""
         check_is_fitted(self, ("estimators_",))
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
+        X = _check_predict_data(self, X)
         predictions = np.full(len(X), self.init_prediction_)
-        for tree in self.estimators_:
-            predictions = predictions + self.learning_rate * tree.predict(X)
-            yield predictions.copy()
+        for tree_predictions in _descend(self.estimators_, X):
+            predictions = predictions + self.learning_rate * tree_predictions
+            yield predictions

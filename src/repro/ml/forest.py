@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import check_consistent_length, check_positive_int
+from .._validation import check_positive_int
 from ..core.base import BaseRegressor, check_is_fitted
-from .tree import DecisionTreeRegressor
+from .tree import DecisionTreeRegressor, _check_predict_data, _check_training_data, _descend
 
 __all__ = ["RandomForestRegressor"]
 
@@ -39,57 +39,55 @@ class RandomForestRegressor(BaseRegressor):
 
     def fit(self, X, y) -> "RandomForestRegressor":
         check_positive_int(self.n_estimators, "n_estimators")
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
-        check_consistent_length(X, y)
+        X, y = _check_training_data(X, y)
 
+        # Each tree's seed, then its bootstrap, tree after tree: this stream
+        # fixes every tree's randomness.
         rng = np.random.default_rng(self.random_state)
         n_samples = len(y)
-        self.estimators_: list[DecisionTreeRegressor] = []
-        oob_sums = np.zeros(n_samples)
-        oob_counts = np.zeros(n_samples)
-
-        for index in range(int(self.n_estimators)):
-            tree = DecisionTreeRegressor(
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=self.max_features,
-                random_state=int(rng.integers(0, 2**31 - 1)),
+        seeds, samples = [], []
+        for _ in range(int(self.n_estimators)):
+            seeds.append(int(rng.integers(0, 2**31 - 1)))
+            samples.append(
+                rng.integers(0, n_samples, size=n_samples)
+                if self.bootstrap
+                else np.arange(n_samples)
             )
-            if self.bootstrap:
-                sample_indices = rng.integers(0, n_samples, size=n_samples)
-            else:
-                sample_indices = np.arange(n_samples)
-            tree.fit(X[sample_indices], y[sample_indices])
-            self.estimators_.append(tree)
 
-            if self.bootstrap:
-                out_of_bag = np.setdiff1d(
-                    np.arange(n_samples), np.unique(sample_indices), assume_unique=True
-                )
-                if len(out_of_bag):
-                    oob_sums[out_of_bag] += tree.predict(X[out_of_bag])
-                    oob_counts[out_of_bag] += 1
+        self.estimators_: list[DecisionTreeRegressor] = []
+        grown = self._tree(None)._grow(X, y, samples, seeds)
+        for seed, attributes in zip(seeds, grown):
+            self.estimators_.append(self._tree(seed))
+            self.estimators_[-1].__dict__.update(attributes)
 
-        covered = oob_counts > 0
-        if self.bootstrap and covered.any():
-            oob_predictions = oob_sums[covered] / oob_counts[covered]
-            residuals = y[covered] - oob_predictions
-            self.oob_mae_ = float(np.mean(np.abs(residuals)))
-        else:
-            self.oob_mae_ = float("nan")
+        self.oob_mae_ = float("nan")
+        if self.bootstrap:
+            out_of_bag = np.ones((len(samples), n_samples), dtype=bool)
+            out_of_bag[np.arange(len(samples))[:, None], samples] = False
+            oob_sums = np.zeros(n_samples)
+            for unseen, predictions in zip(out_of_bag, _descend(self.estimators_, X)):
+                oob_sums[unseen] += predictions[unseen]
+            oob_counts = out_of_bag.sum(axis=0)
+            covered = oob_counts > 0
+            if covered.any():
+                residuals = y[covered] - oob_sums[covered] / oob_counts[covered]
+                self.oob_mae_ = float(np.mean(np.abs(residuals)))
         self.n_features_in_ = X.shape[1]
         return self
 
+    def _tree(self, seed: int | None) -> DecisionTreeRegressor:
+        return DecisionTreeRegressor(
+            max_depth=self.max_depth,
+            min_samples_split=self.min_samples_split,
+            min_samples_leaf=self.min_samples_leaf,
+            max_features=self.max_features,
+            random_state=seed,
+        )
+
     def predict(self, X) -> np.ndarray:
         check_is_fitted(self, ("estimators_",))
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
+        X = _check_predict_data(self, X)
         predictions = np.zeros(len(X))
-        for tree in self.estimators_:
-            predictions += tree.predict(X)
+        for tree_predictions in _descend(self.estimators_, X):
+            predictions += tree_predictions
         return predictions / len(self.estimators_)

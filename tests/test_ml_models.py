@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import DataQualityError, InvalidParameterError
 from repro.ml import (
     DecisionTreeRegressor,
     GradientBoostingRegressor,
@@ -150,6 +150,47 @@ class TestDecisionTree:
     def test_empty_data_raises(self):
         with pytest.raises(InvalidParameterError):
             DecisionTreeRegressor().fit(np.empty((0, 2)), np.empty(0))
+
+
+TREE_MODELS = (DecisionTreeRegressor, RandomForestRegressor, GradientBoostingRegressor)
+
+
+class TestTreeModelContracts:
+    @pytest.mark.parametrize("cls", TREE_MODELS)
+    def test_predict_rejects_a_different_feature_width(self, cls):
+        model = cls().fit(np.arange(20.0).reshape(-1, 1), np.arange(20.0))
+        with pytest.raises(DataQualityError):
+            model.predict(np.ones((3, 4)))
+
+    @pytest.mark.parametrize(
+        "cls, params",
+        [
+            (cls, params)
+            for cls in TREE_MODELS
+            for params in (
+                {"min_samples_leaf": 0},
+                {"min_samples_leaf": -1},
+                {"min_samples_split": 1},
+                {"max_depth": 0},
+                {"max_depth": -2},
+                {"max_depth": 2.5},
+            )
+            if set(params) <= set(cls().get_params())
+        ],
+    )
+    def test_invalid_growth_limits_raise(self, cls, params):
+        X = np.arange(20.0).reshape(-1, 1)
+        with pytest.raises(InvalidParameterError):
+            cls(**params).fit(X, np.sin(X.ravel()))
+
+    @pytest.mark.parametrize("cls", TREE_MODELS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_raises(self, cls, bad):
+        X = np.arange(20.0).reshape(-1, 1)
+        y = np.sin(X.ravel())
+        y[7] = bad
+        with pytest.raises(DataQualityError):
+            cls().fit(X, y)
 
 
 class TestRandomForest:
